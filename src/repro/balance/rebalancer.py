@@ -143,27 +143,14 @@ class Rebalancer:
         """Land the group's freshest copies on ``target``, then re-place.
 
         Versioned handover, exactly like ``_rehome_key``: per key the
-        freshest holder (highest stamp, then count) is the source; the
-        target copy inherits the stamp.  Ownership flips only after every
+        freshest holder (:meth:`DhtNetwork._freshest_holder`) is the
+        source; the target copy inherits the stamp.  Ownership flips only after every
         key of the group has landed, so a reader never routes to a target
         that is still missing part of the family."""
         net = self.net
         moved_bytes = 0
         for key in group:
-            holders = [
-                n
-                for n in net.alive_nodes()
-                if n is not target and (key in n.store or key in n.objects)
-            ]
-            source = max(
-                holders,
-                key=lambda n: (
-                    n.versions.get(key, 0),
-                    n.store.count(key) if key in n.store else 0,
-                    -n.peer_index,
-                ),
-                default=None,
-            )
+            source = net._freshest_holder(key, target)
             if source is None:
                 continue
             version = source.versions.get(key, 0)

@@ -15,19 +15,34 @@ The API follows Section 2 of the paper —
 Every operation returns its result together with an :class:`OpReceipt`
 recording the hops taken, the bytes moved (also logged to the global
 :class:`~repro.sim.meter.TrafficMeter`), and the simulated duration.
-Requests are routed multi-hop over the overlay; bulk responses flow over a
-direct connection (one hop), as in the real system.
+
+Every request goes through one *request loop* (:meth:`DhtNetwork._request`),
+whose charging policy says what one attempt costs:
+
+    ROUTED    the payload rides the multi-hop route: metered and billed
+              payload × hops (``append``, ``put``, ``put_object``)
+    CONTROL   a routed control message: metered 64 B × hops, billed 64 B
+              (``locate``)
+    DIRECT    a one-hop transfer to an owner that was already located:
+              metered and billed payload × 1 (``append_batch``)
+
+Every bulk response — a whole list (``get``), a block whose holder is
+known (``block_get``), or a chunked stream (``pipelined_get``) — flows back
+over a direct connection (one hop), as in the real system, through one
+*response loop* (:meth:`DhtNetwork._response`).
 
 Fault tolerance (:mod:`repro.faults`): when a :class:`FaultPlan` is
-installed on :attr:`DhtNetwork.faults`, every operation consults it at its
-injection points — requests and bulk responses can be dropped (the op
-retries with the network's :class:`~repro.faults.RetryPolicy`, each lost
-copy metered and each wait charged in simulated time), delayed, or
-duplicated (idempotent delivery: the duplicate is metered as wire traffic
-but not double-counted in the op's receipt); peers can crash between
-routing hops, before applying a write, or between pipelined chunks.
-Writes acknowledge on a replica quorum (:attr:`DhtNetwork.write_quorum`)
-and :meth:`DhtNetwork.anti_entropy_repair` re-replicates what a crash left
+installed on :attr:`DhtNetwork.faults`, both loops consult it.  A dropped
+message is metered, then the sender waits out the timeout, backs off
+(:class:`~repro.faults.RetryPolicy`) and resends; a delayed one adds
+latency; a duplicated one is metered as wire traffic but not billed to the
+op's receipt (delivery is idempotent).  Peers can crash between routing
+hops, before applying a write (the request loop re-routes; a ``DIRECT``
+transfer re-resolves its owner with one fresh control round), or between
+pipelined chunks (the response loop re-picks a live holder).  Retries
+exhausted raise :class:`~repro.faults.OpTimeoutError`.  Writes acknowledge
+on a replica quorum (:attr:`DhtNetwork.write_quorum`) and
+:meth:`DhtNetwork.anti_entropy_repair` re-replicates what a crash left
 under-replicated.  With no plan installed — or a plan whose rates are all
 zero — every byte, hop, and simulated second is identical to the original
 code path (the differential test in ``tests/test_faults.py``).
@@ -54,6 +69,11 @@ CONTROL_BYTES = 64
 #: literal storage key
 _ALIAS_PREFIXES = ("dpproot:", "dppdata:")
 
+#: charging policies of the request loop (see the module docstring)
+ROUTED = "routed"
+CONTROL = "control"
+DIRECT = "direct"
+
 
 def routing_alias(key):
     """The key whose hash decides placement of ``key``."""
@@ -72,20 +92,11 @@ class OpReceipt:
     response_bytes: int = 0
     duration_s: float = 0.0
 
-    def merge(self, other, count_bytes=True):
-        """Fold ``other`` into this receipt.
-
-        ``count_bytes=False`` merges the hop/latency effects of a message
-        the *network* duplicated without charging its bytes again: the op
-        sent those bytes once, so counting the spontaneous second delivery
-        would double-bill the operation (the wire copy still lands in the
-        :class:`~repro.sim.meter.TrafficMeter`, which counts every copy
-        actually transmitted).
-        """
+    def merge(self, other):
+        """Fold ``other`` into this receipt."""
         self.hops += other.hops
-        if count_bytes:
-            self.request_bytes += other.request_bytes
-            self.response_bytes += other.response_bytes
+        self.request_bytes += other.request_bytes
+        self.response_bytes += other.response_bytes
         self.duration_s += other.duration_s
         return self
 
@@ -214,37 +225,12 @@ class DhtNetwork:
         return node
 
     def _handover_key(self, key, joined):
-        """Move/copy ``key`` to ``joined`` if it is now owner or replica."""
-        replicas = self.replica_nodes(key)
-        if joined not in replicas:
+        """Copy ``key`` to ``joined`` if it is now owner or replica."""
+        if joined not in self.replica_nodes(key):
             return
-        holders = [
-            n
-            for n in self.alive_nodes()
-            if n is not joined and (key in n.store or key in n.objects)
-        ]
-        source = max(
-            holders,
-            key=lambda n: (
-                n.versions.get(key, 0),
-                n.store.count(key) if key in n.store else 0,
-                -n.peer_index,
-            ),
-            default=None,
-        )
-        if source is None:
-            return
-        version = source.versions.get(key, 0)
-        if key in source.store:
-            postings = source.store.get(key)
-            joined.store.append(key, postings)
-            joined.versions[key] = version
-            self.meter.record("postings", encoded_size(postings))
-        if key in source.objects:
-            obj, nbytes = source.objects[key]
-            joined.objects[key] = (obj, nbytes)
-            joined.versions[key] = version
-            self.meter.record("control", nbytes)
+        source = self._freshest_holder(key, joined)
+        if source is not None:
+            self._copy_key(source, joined, key)
 
     def remove_node(self, node, rehome=True):
         """Fail/stop ``node``.  With ``rehome``, surviving replicas copy the
@@ -293,20 +279,7 @@ class DhtNetwork:
         self._by_id[int(node.node_id)] = node
         self._rebuild_routing()
         for key in sorted(self._all_keys()):
-            holders = [
-                n
-                for n in self.alive_nodes()
-                if n is not node and (key in n.store or key in n.objects)
-            ]
-            source = max(
-                holders,
-                key=lambda n: (
-                    n.versions.get(key, 0),
-                    n.store.count(key) if key in n.store else 0,
-                    -n.peer_index,
-                ),
-                default=None,
-            )
+            source = self._freshest_holder(key, node)
             if node not in self.replica_nodes(key):
                 # the ring moved on while the node was down: if the data
                 # lives elsewhere, its local copy is an orphan that a
@@ -318,18 +291,8 @@ class DhtNetwork:
                     node.objects.pop(key, None)
                     node.versions.pop(key, None)
                 continue
-            if source is None:
-                continue
-            version = source.versions.get(key, 0)
-            if key in source.store:
-                postings = source.store.get(key)
-                self._sync_copy(node, key, postings, version=version)
-                self.meter.record("postings", encoded_size(postings))
-            if key in source.objects:
-                obj, nbytes = source.objects[key]
-                node.objects[key] = (obj, nbytes)
-                node.versions[key] = version
-                self.meter.record("control", nbytes)
+            if source is not None:
+                self._copy_key(source, node, key)
         self._observe_fault("restart", node.uri)
 
     def anti_entropy_repair(self):
@@ -461,13 +424,11 @@ class DhtNetwork:
 
     def owner_of(self, key):
         """The node in charge of ``key``: numerically closest id."""
-        cached = getattr(self, "_owner_cache", {}).get(key)
+        cached = self._owner_cache.get(key)
         if cached is not None and cached.alive:
             return cached
         placed = self._placed(key)
         if placed is not None:
-            if not hasattr(self, "_owner_cache"):
-                self._owner_cache = {}
             self._owner_cache[key] = placed
             return placed
         kid = key_id(routing_alias(key))
@@ -485,17 +446,12 @@ class DhtNetwork:
             owner = min(
                 alive, key=lambda n: (n.node_id.distance(kid), int(n.node_id))
             )
-        if not hasattr(self, "_owner_cache"):
-            self._owner_cache = {}
         self._owner_cache[key] = owner
         return owner
 
     def replica_nodes(self, key):
         """The ``replication`` closest nodes: owner first, then backups."""
-        cache = getattr(self, "_replica_cache", None)
-        if cache is None:
-            cache = self._replica_cache = {}
-        cached = cache.get(key)
+        cached = self._replica_cache.get(key)
         if cached is not None and all(n.alive for n in cached):
             return list(cached)
         kid = key_id(routing_alias(key))
@@ -520,7 +476,7 @@ class DhtNetwork:
             replicas = ([placed] + [n for n in replicas if n is not placed])[
                 : self.replication
             ]
-        cache[key] = list(replicas)
+        self._replica_cache[key] = list(replicas)
         return replicas
 
     def _all_keys(self):
@@ -531,34 +487,43 @@ class DhtNetwork:
         return keys
 
     def _rehome_key(self, key, failed):
-        replicas = [
-            n
-            for n in self.alive_nodes()
-            if n is not failed and (key in n.store or key in n.objects)
-        ]
-        if not replicas:
+        source = self._freshest_holder(key, failed)
+        if source is None:
             return  # data lost: replication factor exceeded
-        source = max(
-            replicas,
+        new_owner = self.owner_of(key)
+        if new_owner is not source:
+            self._copy_key(source, new_owner, key)
+
+    def _freshest_holder(self, key, exclude):
+        """The alive node other than ``exclude`` whose copy of ``key`` is
+        freshest: highest stamp, then longest list, then lowest peer index.
+        None when no such node holds the key."""
+        return max(
+            (
+                n
+                for n in self.alive_nodes()
+                if n is not exclude and (key in n.store or key in n.objects)
+            ),
             key=lambda n: (
                 n.versions.get(key, 0),
                 n.store.count(key) if key in n.store else 0,
                 -n.peer_index,
             ),
+            default=None,
         )
-        new_owner = self.owner_of(key)
-        if new_owner is source:
-            return
+
+    def _copy_key(self, source, target, key):
+        """Replace ``target``'s copy of ``key`` (postings and object) with
+        ``source``'s, at the source's stamp, metering the transfer."""
         version = source.versions.get(key, 0)
         if key in source.store:
             postings = source.store.get(key)
-            self._sync_copy(new_owner, key, postings, version=version)
+            self._sync_copy(target, key, postings, version=version)
             self.meter.record("postings", encoded_size(postings))
         if key in source.objects:
-            obj, nbytes = source.objects[key]
-            new_owner.objects[key] = (obj, nbytes)
-            new_owner.versions[key] = version
-            self.meter.record("control", nbytes)
+            target.objects[key] = source.objects[key]
+            target.versions[key] = version
+            self.meter.record("control", source.objects[key][1])
 
     # -- routing ------------------------------------------------------------------
 
@@ -738,6 +703,17 @@ class DhtNetwork:
         self._observe_fault("timeout", key)
         raise OpTimeoutError(key, op, attempts, receipt)
 
+    def _settle(self, fate, key, category, nbytes, receipt):
+        """Charge the ``"delay"`` or ``"duplicate"`` fate of a delivered
+        message.  A delay adds the plan's latency.  A duplicate is a second
+        wire copy: metered in ``category``, but not billed to ``receipt``
+        (delivery is idempotent — the op sent those bytes once)."""
+        self._observe_fault(fate, key)
+        if fate == "delay":
+            receipt.duration_s += self.faults.delay_s
+        else:
+            self.meter.record(category, nbytes)
+
     def _read_holder(self, key, owner, receipt, want="store"):
         """Find an alive node actually holding ``key``.
 
@@ -766,6 +742,148 @@ class DhtNetwork:
                 return node
         return None
 
+    def _request(
+        self, op, src, key, idx, policy, payload, category, receipt, owner=None
+    ):
+        """The request loop: deliver ``op``'s request for ``key``.
+
+        Each attempt routes from ``src`` (``ROUTED``, ``CONTROL``) or goes
+        straight to the located ``owner`` (``DIRECT``), draws the request
+        fate, and meters ``payload`` × hops in ``category``.  A drop — or,
+        except for ``CONTROL``, an owner crashing before it applies the
+        request — costs the timeout plus backoff, then a resend; a crashed
+        ``DIRECT`` owner is re-resolved by one fresh control round.
+        Charges accumulate in ``receipt``; returns the owner reached."""
+        plan = self.faults
+        attempt = 0
+        hops = 0
+        while True:
+            if policy != DIRECT:
+                owner, hops = self.route(src, key, fault_idx=idx)
+                receipt.hops += hops
+            wire = payload * max(1, hops)
+            fate = plan.request_fate(idx, attempt) if plan is not None else "deliver"
+            self.meter.record(category, wire)
+            receipt.request_bytes += payload if policy == CONTROL else wire
+            if fate == "drop":
+                self._observe_fault("drop", key)
+            elif (
+                plan is None
+                or policy == CONTROL
+                or not plan.maybe_crash_owner(self, idx, attempt, owner, protect=src)
+            ):
+                break
+            else:
+                # the request reached a dying owner: it was not applied,
+                # so it is a lost attempt like a dropped message
+                plan.stats.retries += 1
+            receipt.duration_s += self._retry_wait(attempt)
+            attempt += 1
+            if attempt > self.retry.max_retries:
+                self._timeout(plan, key, op, attempt, receipt)
+            if policy == DIRECT and fate != "drop":
+                owner, control_hops = self.route(src, key, fault_idx=idx)
+                self.meter.record("control", CONTROL_BYTES * max(1, control_hops))
+                receipt.hops += control_hops
+                receipt.request_bytes += CONTROL_BYTES
+                receipt.duration_s += self.cost.transfer_time(
+                    CONTROL_BYTES, hops=max(1, control_hops)
+                )
+        receipt.duration_s += self.cost.transfer_time(payload, hops=max(1, hops))
+        if fate != "deliver":
+            self._settle(fate, key, category, wire, receipt)
+        return owner
+
+    def _response(
+        self, op, src, key, idx, located, owner, postings=None, chunk_postings=None
+    ):
+        """The response loop: ship ``op``'s bulk response back to ``src``.
+
+        The payload is ``postings`` when given (a block whose holder is
+        already known), else the serving holder's list for ``key`` — in
+        chunks of ``chunk_postings`` when set.  The holder is picked from
+        the routed ``owner`` once, or on every attempt for a stream, whose
+        holder can also crash mid-transfer.  A lost response costs the
+        timeout plus backoff (and, unless streamed, its disk read), then a
+        resend.  ``located`` carries the locate's charges; the op receipt
+        adds one disk read and one hop for the payload — for a stream,
+        for its first chunk only (time to first data).
+
+        Returns ``(data, payload, holder, receipt)``."""
+        plan = self.faults
+        streamed = chunk_postings is not None
+        holder = owner
+        if postings is not None:
+            data = postings
+            payload = encoded_size(postings)
+        extra = OpReceipt()
+        attempt = 0
+        while True:
+            crash_at = None
+            if postings is None:
+                if streamed or attempt == 0:
+                    holder = owner
+                    if self.balancer is not None:
+                        holder = self.balancer.read_holder(key, owner) or owner
+                    if plan is not None and (
+                        not holder.alive or key not in holder.store
+                    ):
+                        holder = self._read_holder(key, owner, located) or owner
+                data = holder.store.get(key)
+                if streamed:
+                    data = list(data.chunks(chunk_postings)) if len(data) else []
+                    if plan is not None:
+                        crash_at = plan.crash_chunk_index(
+                            self, idx, attempt, len(data), holder, protect=src
+                        )
+                else:
+                    payload = encoded_size(data)
+            if crash_at is not None:
+                # the stream's holder died mid-transfer: the chunks already
+                # received are wasted wire traffic; the client times out
+                # waiting for the next one and retries from a live holder
+                plan.stats.retries += 1
+                payload = 0
+                for chunk in data[: crash_at + 1]:
+                    payload += encoded_size(chunk)
+                self.meter.record("postings", payload)
+            else:
+                if streamed:
+                    payload = 0
+                    for chunk in data:
+                        payload += encoded_size(chunk)
+                fate = (
+                    plan.response_fate(idx, attempt) if plan is not None else "deliver"
+                )
+                self.meter.record("postings", payload)
+                if fate != "drop":
+                    break
+                self._observe_fault("drop", key)
+            extra.response_bytes += payload
+            wait = self._retry_wait(attempt)
+            extra.duration_s += (
+                wait if streamed else self.cost.disk_read_time(payload) + wait
+            )
+            attempt += 1
+            if attempt > self.retry.max_retries:
+                self._timeout(plan, key, op, attempt, located.merge(extra))
+        first = payload
+        if streamed:
+            first = encoded_size(data[0]) if data else 0
+        receipt = OpReceipt(
+            hops=located.hops,
+            request_bytes=located.request_bytes,
+            response_bytes=payload,
+            duration_s=located.duration_s
+            + self.cost.disk_read_time(first)
+            + self.cost.transfer_time(first, hops=1),
+        )
+        if plan is not None:
+            receipt.merge(extra)
+            if fate != "deliver":
+                self._settle(fate, key, "postings", payload, receipt)
+        return data, payload, holder, receipt
+
     # -- the DHT API -----------------------------------------------------------------
 
     def locate(self, src, key, _observe=True, _fault_idx=None):
@@ -779,50 +897,23 @@ class DhtNetwork:
         if plan is not None and idx is None:
             idx = plan.begin_op(self, "locate", key)
         receipt = OpReceipt()
-        attempt = 0
-        while True:
-            owner, hops = self.route(src, key, fault_idx=idx)
-            fate = (
-                plan.request_fate(idx, attempt) if plan is not None else "deliver"
-            )
-            self.meter.record("control", CONTROL_BYTES * max(1, hops))
-            receipt.hops += hops
-            receipt.request_bytes += CONTROL_BYTES
-            if fate == "drop":
-                self._observe_fault("drop", key)
-                receipt.duration_s += self._retry_wait(attempt)
-                attempt += 1
-                if attempt > self.retry.max_retries:
-                    self._timeout(plan, key, "locate", attempt, receipt)
-                continue
-            break
-        receipt.duration_s += self.cost.transfer_time(
-            CONTROL_BYTES, hops=max(1, hops)
+        owner = self._request(
+            "locate", src, key, idx, CONTROL, CONTROL_BYTES, "control", receipt
         )
-        if plan is not None:
-            if fate == "delay":
-                self._observe_fault("delay", key)
-                receipt.duration_s += plan.delay_s
-            elif fate == "duplicate":
-                self._observe_fault("duplicate", key)
-                self.meter.record("control", CONTROL_BYTES * max(1, hops))
-                receipt.merge(
-                    OpReceipt(request_bytes=CONTROL_BYTES), count_bytes=False
-                )
         if _observe:
             self._observe_op("locate", src, key, receipt)
         return owner, receipt
 
     def append(self, src, key, postings, replicate=True):
         """The Section 3 extension: linear-cost posting insertion."""
-        return self._write("append", src, key, _as_plist(postings), replicate)
+        return self._write("append", src, key, postings, replicate)
 
     def put(self, src, key, postings, replicate=True):
         """The *original* DHT insert: read old value, reconcile, rewrite.
 
         Kept verbatim so the store ablation can measure the quadratic
         behaviour the paper had to engineer away."""
-        return self._write("put", src, key, _as_plist(postings), replicate)
+        return self._write("put", src, key, postings, replicate)
 
     def append_batch(self, src, key, postings, replicate=True):
         """Bulk-publish insert: one amortized ``locate``, then the whole
@@ -833,138 +924,37 @@ class DhtNetwork:
         owner once (control bytes × hops) and ships the batch point-to-point,
         charged like the pipelined ops at ``payload × 1``.  Store effects are
         identical to :meth:`append` of the same postings — only the wire
-        charging and the message count differ.
-
-        Under an active FaultPlan the direct transfer can be dropped (resend
-        after backoff) or the owner can crash before applying it (the retry
-        re-routes to the successor, charging a fresh control round)."""
-        postings = _as_plist(postings)
-        plan = self.faults
-        idx = (
-            plan.begin_op(self, "append_batch", key) if plan is not None else None
-        )
-        payload = encoded_size(postings)
-        owner, receipt = self.locate(src, key, _observe=False, _fault_idx=idx)
-        attempt = 0
-        while True:
-            fate = (
-                plan.request_fate(idx, attempt) if plan is not None else "deliver"
-            )
-            self.meter.record("postings", payload)
-            receipt.request_bytes += payload
-            if fate == "drop":
-                self._observe_fault("drop", key)
-                receipt.duration_s += self._retry_wait(attempt)
-                attempt += 1
-                if attempt > self.retry.max_retries:
-                    self._timeout(plan, key, "append_batch", attempt, receipt)
-                continue
-            if plan is not None and plan.maybe_crash_owner(
-                self, idx, attempt, owner, protect=src
-            ):
-                # the batch reached a dying owner before it was applied;
-                # the retry must re-resolve the key to its successor
-                plan.stats.retries += 1
-                receipt.duration_s += self._retry_wait(attempt)
-                attempt += 1
-                if attempt > self.retry.max_retries:
-                    self._timeout(plan, key, "append_batch", attempt, receipt)
-                owner, hops = self.route(src, key, fault_idx=idx)
-                self.meter.record("control", CONTROL_BYTES * max(1, hops))
-                receipt.hops += hops
-                receipt.request_bytes += CONTROL_BYTES
-                receipt.duration_s += self.cost.transfer_time(
-                    CONTROL_BYTES, hops=max(1, hops)
-                )
-                continue
-            break
-        receipt.duration_s += self.cost.transfer_time(payload, hops=1)
-        if plan is not None:
-            if fate == "delay":
-                self._observe_fault("delay", key)
-                receipt.duration_s += plan.delay_s
-            elif fate == "duplicate":
-                self._observe_fault("duplicate", key)
-                self.meter.record("postings", payload)
-                receipt.merge(
-                    OpReceipt(request_bytes=payload), count_bytes=False
-                )
-        stamp = self.next_stamp()
-        before = owner.store.stats.snapshot()
-        owner.store.append(key, postings)
-        owner.versions[key] = stamp
-        receipt.duration_s += owner.store.stats.delta_since(before).cost_seconds(
-            self.cost
-        )
-        if self.balancer is not None:
-            self.balancer.on_write(key, owner, payload)
-        if replicate:
-            receipt.merge(
-                self._replicate(owner, key, postings, fault_idx=idx, stamp=stamp)
-            )
-        if self.balancer is not None:
-            self.balancer.propagate_write("append", key, postings, stamp)
-        self._observe_op("append_batch", src, key, receipt, payload=payload)
-        return receipt
+        charging and the message count differ."""
+        return self._write("append_batch", src, key, postings, replicate)
 
     def _write(self, op, src, key, postings, replicate):
-        """Shared body of ``append`` and ``put`` (they differ only in the
-        store primitive applied at the owner).
+        """Shared body of ``append``, ``put`` and ``append_batch``.
 
-        Under an active FaultPlan the routed request can be dropped (the
-        writer times out, backs off, and resends — every lost copy is
-        metered, every wait charged in simulated time) or the owner can
-        crash before applying it (the retry re-routes to the successor).
-        Retries exhausted raise :class:`~repro.faults.OpTimeoutError`.
-        """
+        ``append``/``put`` route the payload (``ROUTED``); ``append_batch``
+        locates the owner, then sends it ``DIRECT``.  Once delivered, the
+        owner applies the write (``put``'s read-reconcile-write, else an
+        append) under a fresh stamp, the store cost is charged, and the
+        write goes to the backups (:meth:`_replicate`) and to any hot
+        extra copies."""
+        postings = _as_plist(postings)
         plan = self.faults
         idx = plan.begin_op(self, op, key) if plan is not None else None
         payload = encoded_size(postings)
-        receipt = OpReceipt()
-        attempt = 0
-        while True:
-            owner, hops = self.route(src, key, fault_idx=idx)
-            wire = payload * max(1, hops)  # multi-hop routed request
-            fate = (
-                plan.request_fate(idx, attempt) if plan is not None else "deliver"
+        if op == "append_batch":
+            store_op = "append"
+            owner, receipt = self.locate(src, key, _observe=False, _fault_idx=idx)
+            owner = self._request(
+                op, src, key, idx, DIRECT, payload, "postings", receipt, owner
             )
-            self.meter.record("postings", wire)
-            receipt.hops += hops
-            receipt.request_bytes += wire
-            if fate == "drop":
-                self._observe_fault("drop", key)
-                receipt.duration_s += self._retry_wait(attempt)
-                attempt += 1
-                if attempt > self.retry.max_retries:
-                    self._timeout(plan, key, op, attempt, receipt)
-                continue
-            if plan is not None and plan.maybe_crash_owner(
-                self, idx, attempt, owner, protect=src
-            ):
-                # the request reached a dying owner: the write was not
-                # applied, so it is a lost attempt like a dropped message
-                plan.stats.retries += 1
-                receipt.duration_s += self._retry_wait(attempt)
-                attempt += 1
-                if attempt > self.retry.max_retries:
-                    self._timeout(plan, key, op, attempt, receipt)
-                continue
-            break
-        receipt.duration_s += self.cost.transfer_time(payload, hops=max(1, hops))
-        if plan is not None:
-            if fate == "delay":
-                self._observe_fault("delay", key)
-                receipt.duration_s += plan.delay_s
-            elif fate == "duplicate":
-                # a second copy of the request arrives: real wire traffic,
-                # but delivery is idempotent (the owner absorbs it), so it
-                # must not double into this op's receipt
-                self._observe_fault("duplicate", key)
-                self.meter.record("postings", wire)
-                receipt.merge(OpReceipt(request_bytes=wire), count_bytes=False)
+        else:
+            store_op = op
+            receipt = OpReceipt()
+            owner = self._request(
+                op, src, key, idx, ROUTED, payload, "postings", receipt
+            )
         stamp = self.next_stamp()
         before = owner.store.stats.snapshot()
-        getattr(owner.store, op)(key, postings)
+        getattr(owner.store, store_op)(key, postings)
         owner.versions[key] = stamp
         receipt.duration_s += owner.store.stats.delta_since(before).cost_seconds(
             self.cost
@@ -978,7 +968,7 @@ class DhtNetwork:
         if self.balancer is not None:
             # keep any hot extra copies byte-fresh (same stamp, so they
             # stay eligible for fan-out reads)
-            self.balancer.propagate_write(op, key, postings, stamp)
+            self.balancer.propagate_write(store_op, key, postings, stamp)
         self._observe_op(op, src, key, receipt, payload=payload)
         return receipt
 
@@ -990,13 +980,13 @@ class DhtNetwork:
     def _replicate(self, owner, key, postings, fault_idx=None, stamp=None):
         """Push ``postings`` to the backup replicas.
 
-        Without a FaultPlan this is fire-and-forget to every backup, as
-        before.  Under a plan each backup is retried until it acknowledges
-        or retries run out; the write succeeds once
-        :attr:`write_quorum` acks are in (the owner's local apply counts
-        as the first), leaving any unacked backup under-replicated for
-        :meth:`anti_entropy_repair` to catch up.  Fewer acks than the
-        quorum raise :class:`~repro.faults.OpTimeoutError`."""
+        Each backup is sent the postings directly (one hop) and, under a
+        FaultPlan, resent until it acknowledges or retries run out; the
+        write succeeds once :attr:`write_quorum` acks are in (the owner's
+        local apply counts as the first), leaving any unacked backup
+        under-replicated for :meth:`anti_entropy_repair` to catch up.
+        Fewer acks than the quorum raise
+        :class:`~repro.faults.OpTimeoutError`."""
         receipt = OpReceipt()
         payload = encoded_size(postings)
         plan = self.faults
@@ -1005,45 +995,29 @@ class DhtNetwork:
         for r_i, node in enumerate(replicas):
             if node is owner:
                 continue
-            if plan is None:
-                node.store.append(key, postings)
-                if stamp is not None:
-                    node.versions[key] = stamp
-                self.meter.record("postings", payload)
-                receipt.request_bytes += payload
-                receipt.duration_s += self.cost.transfer_time(payload, hops=1)
-                if self.balancer is not None:
-                    self.balancer.on_write(key, node, payload)
-                acked += 1
-                continue
-            delivered = False
             for attempt in range(self.retry.max_retries + 1):
-                fate = plan.replica_fate(fault_idx, attempt, r_i)
+                fate = (
+                    plan.replica_fate(fault_idx, attempt, r_i)
+                    if plan is not None
+                    else "deliver"
+                )
                 self.meter.record("postings", payload)
                 receipt.request_bytes += payload
-                if fate == "drop":
-                    self._observe_fault("drop", key)
-                    receipt.duration_s += self._retry_wait(attempt)
-                    continue
-                node.store.append(key, postings)
-                if stamp is not None:
-                    node.versions[key] = stamp
-                receipt.duration_s += self.cost.transfer_time(payload, hops=1)
-                if fate == "delay":
-                    self._observe_fault("delay", key)
-                    receipt.duration_s += plan.delay_s
-                elif fate == "duplicate":
-                    self._observe_fault("duplicate", key)
-                    self.meter.record("postings", payload)
-                    receipt.merge(
-                        OpReceipt(request_bytes=payload), count_bytes=False
-                    )
-                delivered = True
-                break
-            if delivered:
-                if self.balancer is not None:
-                    self.balancer.on_write(key, node, payload)
-                acked += 1
+                if fate != "drop":
+                    break
+                self._observe_fault("drop", key)
+                receipt.duration_s += self._retry_wait(attempt)
+            else:
+                continue  # never acknowledged: this backup falls behind
+            node.store.append(key, postings)
+            if stamp is not None:
+                node.versions[key] = stamp
+            receipt.duration_s += self.cost.transfer_time(payload, hops=1)
+            if fate != "deliver":
+                self._settle(fate, key, "postings", payload, receipt)
+            if self.balancer is not None:
+                self.balancer.on_write(key, node, payload)
+            acked += 1
         if plan is not None and acked < self._quorum_needed(len(replicas)):
             self._timeout(
                 plan, key, "replicate", self.retry.max_retries + 1, receipt
@@ -1052,76 +1026,47 @@ class DhtNetwork:
 
     def get(self, src, key):
         """Blocking ``get``: the full posting list, in one response."""
+        return self._read("get", src, key)
+
+    def pipelined_get(self, src, key, chunk_postings=1024):
+        """Streamed ``get``: the list arrives in chunks.
+
+        Returns ``(chunks, receipt)`` where ``chunks`` is a list of
+        :class:`PostingList` pieces; the receipt's duration covers only the
+        locate and the *first* chunk (time-to-first-data) — the query
+        executor schedules the remaining chunks against link resources to
+        model the pipeline.
+        """
+        return self._read("pipelined_get", src, key, chunk_postings)
+
+    def _read(self, op, src, key, chunk_postings=None):
+        """Shared body of ``get`` and ``pipelined_get``: join an in-flight
+        fetch of the key, or locate its owner and run the response loop."""
+        flight_op = "get" if chunk_postings is None else "pget"
         if self.coalescer is not None:
-            flight = self.coalescer.lookup("get", key)
+            flight = self.coalescer.lookup(flight_op, key)
             if flight is not None:
                 # join the in-flight fetch: same data, one fanned-out
                 # receipt, zero additional metered bytes or fault ops
                 self.last_holder = None
                 return flight.data, OpReceipt(duration_s=flight.receipt_s)
         plan = self.faults
-        idx = plan.begin_op(self, "get", key) if plan is not None else None
-        owner, locate_receipt = self.locate(
-            src, key, _observe=False, _fault_idx=idx
+        idx = plan.begin_op(self, op, key) if plan is not None else None
+        owner, located = self.locate(src, key, _observe=False, _fault_idx=idx)
+        data, payload, holder, receipt = self._response(
+            op, src, key, idx, located, owner, chunk_postings=chunk_postings
         )
-        holder = owner
-        if self.balancer is not None:
-            holder = self.balancer.read_holder(key, owner) or owner
-        if plan is not None and key not in holder.store:
-            holder = self._read_holder(key, owner, locate_receipt) or owner
-        extra = OpReceipt()
-        attempt = 0
-        while True:
-            plist = holder.store.get(key)
-            payload = encoded_size(plist)
-            fate = (
-                plan.response_fate(idx, attempt) if plan is not None else "deliver"
-            )
-            self.meter.record("postings", payload)
-            if fate == "drop":
-                self._observe_fault("drop", key)
-                extra.response_bytes += payload
-                extra.duration_s += self.cost.disk_read_time(
-                    payload
-                ) + self._retry_wait(attempt)
-                attempt += 1
-                if attempt > self.retry.max_retries:
-                    self._timeout(
-                        plan, key, "get", attempt, locate_receipt.merge(extra)
-                    )
-                continue
-            break
-        receipt = OpReceipt(
-            hops=locate_receipt.hops,
-            request_bytes=locate_receipt.request_bytes,
-            response_bytes=payload,
-            duration_s=locate_receipt.duration_s
-            + self.cost.disk_read_time(payload)
-            + self.cost.transfer_time(payload, hops=1),
-        )
-        if plan is not None:
-            receipt.merge(extra)
-            if fate == "delay":
-                self._observe_fault("delay", key)
-                receipt.duration_s += plan.delay_s
-            elif fate == "duplicate":
-                self._observe_fault("duplicate", key)
-                self.meter.record("postings", payload)
-                receipt.merge(
-                    OpReceipt(response_bytes=payload), count_bytes=False
-                )
         self._observe_op(
-            "get", src, key, receipt, payload=payload,
-            served_by=holder.peer_index,
+            op, src, key, receipt, payload=payload, served_by=holder.peer_index
         )
         self.last_holder = holder
         if self.balancer is not None:
             self.balancer.on_read(key, holder, payload)
         if self.coalescer is not None:
             self.coalescer.register(
-                "get", key, plist, payload, receipt.duration_s
+                flight_op, key, data, payload, receipt.duration_s
             )
-        return plist, receipt
+        return data, receipt
 
     def block_get(self, src, key, postings, holder=None):
         """Receipt for a direct block transfer from a known holder.
@@ -1138,41 +1083,9 @@ class DhtNetwork:
         """
         plan = self.faults
         idx = plan.begin_op(self, "block_get", key) if plan is not None else None
-        payload = encoded_size(postings)
-        extra = OpReceipt()
-        attempt = 0
-        while True:
-            fate = (
-                plan.response_fate(idx, attempt) if plan is not None else "deliver"
-            )
-            self.meter.record("postings", payload)
-            if fate == "drop":
-                self._observe_fault("drop", key)
-                extra.response_bytes += payload
-                extra.duration_s += self.cost.disk_read_time(
-                    payload
-                ) + self._retry_wait(attempt)
-                attempt += 1
-                if attempt > self.retry.max_retries:
-                    self._timeout(plan, key, "block_get", attempt, extra)
-                continue
-            break
-        receipt = OpReceipt(
-            response_bytes=payload,
-            duration_s=self.cost.disk_read_time(payload)
-            + self.cost.transfer_time(payload, hops=1),
+        _, payload, _, receipt = self._response(
+            "block_get", src, key, idx, OpReceipt(), None, postings=postings
         )
-        if plan is not None:
-            receipt.merge(extra)
-            if fate == "delay":
-                self._observe_fault("delay", key)
-                receipt.duration_s += plan.delay_s
-            elif fate == "duplicate":
-                self._observe_fault("duplicate", key)
-                self.meter.record("postings", payload)
-                receipt.merge(
-                    OpReceipt(response_bytes=payload), count_bytes=False
-                )
         served_by = holder if holder is not None else self.owner_of(key)
         self._observe_op(
             "block_get", src, key, receipt, payload=payload,
@@ -1182,120 +1095,6 @@ class DhtNetwork:
         if self.balancer is not None:
             self.balancer.on_read(key, served_by, payload, promote=False)
         return receipt
-
-    def pipelined_get(self, src, key, chunk_postings=1024):
-        """Streamed ``get``: the list arrives in chunks.
-
-        Returns ``(chunks, receipt)`` where ``chunks`` is a list of
-        :class:`PostingList` pieces; the receipt's duration covers only the
-        locate and the *first* chunk (time-to-first-data) — the query
-        executor schedules the remaining chunks against link resources to
-        model the pipeline.
-        """
-        if self.coalescer is not None:
-            flight = self.coalescer.lookup("pget", key)
-            if flight is not None:
-                self.last_holder = None
-                return flight.data, OpReceipt(duration_s=flight.receipt_s)
-        plan = self.faults
-        idx = (
-            plan.begin_op(self, "pipelined_get", key)
-            if plan is not None
-            else None
-        )
-        owner, locate_receipt = self.locate(
-            src, key, _observe=False, _fault_idx=idx
-        )
-        extra = OpReceipt()
-        attempt = 0
-        while True:
-            holder = owner
-            if self.balancer is not None:
-                holder = self.balancer.read_holder(key, owner) or owner
-            if plan is not None and (
-                not holder.alive or key not in holder.store
-            ):
-                holder = self._read_holder(key, owner, locate_receipt) or owner
-            plist = holder.store.get(key)
-            chunks = list(plist.chunks(chunk_postings)) if len(plist) else []
-            if plan is not None:
-                crash_at = plan.crash_chunk_index(
-                    self, idx, attempt, len(chunks), holder, protect=src
-                )
-                if crash_at is not None:
-                    # the stream's holder died mid-transfer: the chunks
-                    # already received are wasted wire traffic; the client
-                    # times out waiting for the next one and retries, which
-                    # re-resolves to a surviving replica of the key
-                    partial = 0
-                    for chunk in chunks[: crash_at + 1]:
-                        partial += encoded_size(chunk)
-                    self.meter.record("postings", partial)
-                    extra.response_bytes += partial
-                    extra.duration_s += self._retry_wait(attempt)
-                    plan.stats.retries += 1
-                    attempt += 1
-                    if attempt > self.retry.max_retries:
-                        self._timeout(
-                            plan,
-                            key,
-                            "pipelined_get",
-                            attempt,
-                            locate_receipt.merge(extra),
-                        )
-                    continue
-            total = 0
-            for chunk in chunks:
-                total += encoded_size(chunk)
-            fate = (
-                plan.response_fate(idx, attempt) if plan is not None else "deliver"
-            )
-            self.meter.record("postings", total)
-            if fate == "drop":
-                self._observe_fault("drop", key)
-                extra.response_bytes += total
-                extra.duration_s += self._retry_wait(attempt)
-                attempt += 1
-                if attempt > self.retry.max_retries:
-                    self._timeout(
-                        plan,
-                        key,
-                        "pipelined_get",
-                        attempt,
-                        locate_receipt.merge(extra),
-                    )
-                continue
-            break
-        first = encoded_size(chunks[0]) if chunks else 0
-        receipt = OpReceipt(
-            hops=locate_receipt.hops,
-            request_bytes=locate_receipt.request_bytes,
-            response_bytes=total,
-            duration_s=locate_receipt.duration_s
-            + self.cost.disk_read_time(first)
-            + self.cost.transfer_time(first, hops=1),
-        )
-        if plan is not None:
-            receipt.merge(extra)
-            if fate == "delay":
-                self._observe_fault("delay", key)
-                receipt.duration_s += plan.delay_s
-            elif fate == "duplicate":
-                self._observe_fault("duplicate", key)
-                self.meter.record("postings", total)
-                receipt.merge(OpReceipt(response_bytes=total), count_bytes=False)
-        self._observe_op(
-            "pipelined_get", src, key, receipt, payload=total,
-            served_by=holder.peer_index,
-        )
-        self.last_holder = holder
-        if self.balancer is not None:
-            self.balancer.on_read(key, holder, total)
-        if self.coalescer is not None:
-            self.coalescer.register(
-                "pget", key, chunks, total, receipt.duration_s
-            )
-        return chunks, receipt
 
     def delete(self, src, key, posting=None):
         owner, receipt = self.locate(src, key)
@@ -1317,42 +1116,9 @@ class DhtNetwork:
         plan = self.faults
         idx = plan.begin_op(self, "put_object", key) if plan is not None else None
         receipt = OpReceipt()
-        attempt = 0
-        while True:
-            owner, hops = self.route(src, key, fault_idx=idx)
-            wire = nbytes * max(1, hops)
-            fate = (
-                plan.request_fate(idx, attempt) if plan is not None else "deliver"
-            )
-            self.meter.record("control", wire)
-            receipt.hops += hops
-            receipt.request_bytes += wire
-            if fate == "drop":
-                self._observe_fault("drop", key)
-                receipt.duration_s += self._retry_wait(attempt)
-                attempt += 1
-                if attempt > self.retry.max_retries:
-                    self._timeout(plan, key, "put_object", attempt, receipt)
-                continue
-            if plan is not None and plan.maybe_crash_owner(
-                self, idx, attempt, owner, protect=src
-            ):
-                plan.stats.retries += 1
-                receipt.duration_s += self._retry_wait(attempt)
-                attempt += 1
-                if attempt > self.retry.max_retries:
-                    self._timeout(plan, key, "put_object", attempt, receipt)
-                continue
-            break
-        receipt.duration_s += self.cost.transfer_time(nbytes, hops=max(1, hops))
-        if plan is not None:
-            if fate == "delay":
-                self._observe_fault("delay", key)
-                receipt.duration_s += plan.delay_s
-            elif fate == "duplicate":
-                self._observe_fault("duplicate", key)
-                self.meter.record("control", wire)
-                receipt.merge(OpReceipt(request_bytes=wire), count_bytes=False)
+        owner = self._request(
+            "put_object", src, key, idx, ROUTED, nbytes, "control", receipt
+        )
         stamp = self.next_stamp()
         for node in self.replica_nodes(key):
             node.objects[key] = (obj, nbytes)
