@@ -58,7 +58,7 @@ def _documents(seed):
 def _network(backend, seed, num_peers):
     config = KadopConfig(
         replication=2,
-        store_backend=backend,
+        store=backend,
         use_append=(backend != "naive"),
     )
     return KadopNetwork.create(num_peers=num_peers, config=config, seed=seed)

@@ -17,17 +17,13 @@ class KadopConfig:
 
     Section 3 (base system):
 
-    ``store``            ``"btree"`` (BerkeleyDB replacement) or ``"naive"``
-                         (PAST-style read-modify-write store)
-    ``store_backend``    authoritative per-peer store selector:
-                         ``"btree"``, ``"naive"``, or ``"lsm"`` (memtable +
+    ``store``            per-peer store: ``"btree"`` (BerkeleyDB
+                         replacement), ``"naive"`` (PAST-style
+                         read-modify-write store), or ``"lsm"`` (memtable +
                          sorted immutable runs with background compaction on
-                         the serving clock).  ``None`` (the default) resolves
-                         to ``store``, which keeps old configs and
-                         checkpoints working; when both are given they must
-                         agree unless ``store_backend`` is ``"lsm"``.
-                         Query answers are byte-identical across backends —
-                         only the store-time accounting differs
+                         the serving clock).  Query answers are
+                         byte-identical across stores — only the store-time
+                         accounting differs
     ``use_append``       use the extended ``append`` API instead of ``put``
     ``pipelined_get``    stream posting lists instead of blocking ``get``
     ``chunk_postings``   pipeline chunk size, in postings
@@ -64,7 +60,8 @@ class KadopConfig:
     ``filter_strategy``      ``None``/``"ab"``/``"db"``/``"bloom"``/``"subquery"``,
                              ``"auto"`` (cost-based optimizer), or
                              ``"pushdown"`` (ship small lists to the longest
-                             list's peer and join there — Section 4.2)
+                             list's peer and join there — Section 4.2);
+                             any strategy is rejected with ``use_dpp``
     ``ab_fp_rate``           target basic false-positive rate of AB filters
     ``db_fp_rate``           target basic false-positive rate of DB filters
     ``psi_c``                the c of ψ(j) = ceil(1 + j/c)
@@ -163,7 +160,6 @@ class KadopConfig:
     """
 
     store: str = "btree"
-    store_backend: str = None
     use_append: bool = True
     pipelined_get: bool = True
     chunk_postings: int = 2048
@@ -222,21 +218,15 @@ class KadopConfig:
             raise ConfigError(
                 "index_granularity must be 'element' or 'document'"
             )
-        if self.store not in ("btree", "naive"):
-            raise ConfigError("store must be 'btree' or 'naive', got %r" % self.store)
-        if self.store_backend is None:
-            # resolved once here so checkpoints round-trip the effective
-            # backend; ``store`` remains the legacy two-way spelling
-            self.store_backend = self.store
-        if self.store_backend not in ("btree", "naive", "lsm"):
+        if self.store not in ("btree", "naive", "lsm"):
             raise ConfigError(
-                "store_backend must be 'btree', 'naive', or 'lsm', got %r"
-                % (self.store_backend,)
+                "store must be 'btree', 'naive', or 'lsm', got %r" % (self.store,)
             )
         if self.filter_strategy not in (
             None, "ab", "db", "bloom", "subquery", "auto", "pushdown"
         ):
             raise ConfigError("unknown filter strategy %r" % self.filter_strategy)
+        check_filter_strategy(self, self.filter_strategy)
         if self.parallelism < 1:
             raise ConfigError("parallelism must be >= 1")
         if self.kernel_backend not in ("auto", "pure", "numpy"):
@@ -300,7 +290,20 @@ class KadopConfig:
             or self.retry_backoff_cap_s < 0
         ):
             raise ConfigError("timeout/backoff durations must be >= 0")
-        if self.store == "naive" and self.use_append:
-            # the naive store has no real append; calling it is allowed but
-            # degenerates to put — make the intent explicit in experiments
-            pass
+
+
+def check_filter_strategy(config, strategy):
+    """Reject a filter strategy the configured index cannot serve.
+
+    The DPP and the filter strategies (the Bloom reducers of Section 5 and
+    the pushdown join) are separate techniques in the paper: the filters
+    read whole term lists from the term owners, while the DPP keeps them
+    in ``dppdata:`` blocks, so a filtered DPP query would silently miss
+    answers.  ``"auto"`` is rejected too — its optimizer may pick a filter.
+    Called when the config is built and for a per-query override."""
+    if config.use_dpp and strategy is not None:
+        raise ConfigError(
+            "filter_strategy=%r cannot be combined with use_dpp=True: the "
+            "DPP and the filter strategies are separate techniques in the "
+            "paper; enable one at a time" % (strategy,)
+        )

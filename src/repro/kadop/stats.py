@@ -253,7 +253,7 @@ def network_stats(system, top_terms=8):
 
     stats = NetworkStats(
         kernel_backend=kernels.backend_name(),
-        store_backend=getattr(system.config, "store_backend", "") or "",
+        store_backend=system.config.store,
     )
     term_counts = {}
     for peer in system.peers:

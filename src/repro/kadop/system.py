@@ -39,7 +39,7 @@ class KadopNetwork:
             "btree": ClusteredIndexStore,
             "naive": NaiveGzipStore,
             "lsm": LsmStore,
-        }[self.config.store_backend]
+        }[self.config.store]
         self.net = DhtNetwork(
             cost=CostModel(self.config.cost),
             replication=self.config.replication,
@@ -357,6 +357,11 @@ class KadopNetwork:
         if state.get("format") != 1:
             raise ValueError("unknown checkpoint format %r" % state.get("format"))
         config_dict = dict(state["config"])
+        # checkpoints written before the store knobs were folded carry
+        # the effective store as ``store_backend``
+        legacy_store = config_dict.pop("store_backend", None)
+        if legacy_store is not None:
+            config_dict["store"] = legacy_store
         config_dict["cost"] = CostParams(**config_dict["cost"])
         if config_dict.get("word_index_labels") is not None:
             config_dict["word_index_labels"] = frozenset(

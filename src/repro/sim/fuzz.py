@@ -279,7 +279,7 @@ class _Iteration:
             # tiny chunks: multi-chunk streams happen at fuzz scale, so
             # crash-mid-pipelined_get is actually reachable
             chunk_postings=self.rng.choice((2, 4, 2048)),
-            store_backend=cfg.store_backend,
+            store=cfg.store_backend,
             **balance_knobs,
             **view_knobs,
         )

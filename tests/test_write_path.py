@@ -17,6 +17,7 @@ Two families:
 """
 
 import dataclasses
+import json
 import random
 
 import pytest
@@ -45,7 +46,7 @@ QUERIES = ("//article//author", "//article/title", "//author", "//book//author")
 
 def _build(backend, overlay, bulk, docs=DOCS, rounds=3):
     config = KadopConfig(
-        store_backend=backend,
+        store=backend,
         use_append=(backend != "naive"),
         overlay=overlay,
         replication=2,
@@ -180,12 +181,30 @@ class TestCrossBackendDifferential:
         # a query must charge read I/O somewhere
         assert sum(d.bytes_read for d in deltas) > 0
 
+    def test_store_knob_selects_lsm(self):
+        net = KadopNetwork.create(num_peers=3, config=KadopConfig(store="lsm"))
+        assert all(isinstance(n.store, LsmStore) for n in net.net.nodes)
+
+    def test_legacy_checkpoint_store_backend_key_loads(self, tmp_path):
+        # checkpoints written before the store knobs were folded carry the
+        # effective store as ``store_backend`` next to a two-way ``store``
+        net = _build("lsm", "pastry", bulk=True, rounds=1)
+        path = tmp_path / "ckpt.json"
+        net.save(str(path))
+        state = json.loads(path.read_text())
+        state["config"]["store"] = "btree"
+        state["config"]["store_backend"] = "lsm"
+        path.write_text(json.dumps(state))
+        loaded = KadopNetwork.load(str(path))
+        assert loaded.config.store == "lsm"
+        assert isinstance(loaded.net.nodes[0].store, LsmStore)
+
     def test_checkpoint_roundtrips_store_backend(self, tmp_path):
         net = _build("lsm", "pastry", bulk=True, rounds=1)
         path = str(tmp_path / "ckpt.json")
         net.save(path)
         loaded = KadopNetwork.load(path)
-        assert loaded.config.store_backend == "lsm"
+        assert loaded.config.store == "lsm"
         assert isinstance(loaded.net.nodes[0].store, LsmStore)
         for query in QUERIES:
             assert [a.doc_id for a in loaded.query(query)] == [
