@@ -66,11 +66,6 @@ class BloomReducers:
         """Returns ``(streams, fetch_time_s, time_to_first_s)``."""
         if strategy not in STRATEGIES:
             raise ConfigError("unknown filter strategy %r" % (strategy,))
-        if self.system.config.use_dpp:
-            raise ConfigError(
-                "Bloom reducers and the DPP are separate techniques in the "
-                "paper; enable one at a time"
-            )
         run = ReducerRun(self.system, component, src_peer)
         self._load_lists(run)
         if strategy == "ab":

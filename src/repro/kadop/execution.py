@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 from repro.dht.network import OpReceipt
 from repro.faults import OpTimeoutError
+from repro.kadop.config import check_filter_strategy
 from repro.obs.trace import observe_schedule
 from repro.postings.encoder import encoded_size
 from repro.postings.plist import PostingList
@@ -222,6 +223,7 @@ class QueryExecutor:
             ctx.parent_id = index_span
 
         strategy = strategy if strategy is not None else config.filter_strategy
+        check_filter_strategy(config, strategy)
         candidate_docs = set()
         first = True
         for component, node_map in zip(plan.components, plan.node_maps):

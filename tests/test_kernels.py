@@ -365,23 +365,28 @@ class TestBackendDifferentialEndToEnd:
         try:
             rng = random.Random(2008)
             corpus = [_random_doc(rng) for _ in range(8)]
-            config = KadopConfig(
-                replication=1,
-                overlay=overlay,
-                use_dpp=True,
-                dpp_block_entries=12,
-                filter_strategy="auto",
-                kernel_backend=backend,
-            )
-            net = KadopNetwork.create(num_peers=6, config=config, seed=1)
-            assert kernels.backend_name() == backend
-            for i, text in enumerate(corpus):
-                net.peers[i % 3].publish(text, uri="u:%d" % i)
-            results = []
-            for query, keywords in self.QUERIES:
-                answers = net.query(query, keyword_steps=keywords)
-                results.append({a.bindings for a in answers})
-            return results, net.net.meter.snapshot()
+            results, meters = [], []
+            # the DPP and the filter strategies cannot be combined, so the
+            # block kernels and the optimizer/Bloom kernels run on two nets
+            for knobs in (
+                {"use_dpp": True, "dpp_block_entries": 12},
+                {"filter_strategy": "auto"},
+            ):
+                config = KadopConfig(
+                    replication=1,
+                    overlay=overlay,
+                    kernel_backend=backend,
+                    **knobs,
+                )
+                net = KadopNetwork.create(num_peers=6, config=config, seed=1)
+                assert kernels.backend_name() == backend
+                for i, text in enumerate(corpus):
+                    net.peers[i % 3].publish(text, uri="u:%d" % i)
+                for query, keywords in self.QUERIES:
+                    answers = net.query(query, keyword_steps=keywords)
+                    results.append({a.bindings for a in answers})
+                meters.append(net.net.meter.snapshot())
+            return results, meters
         finally:
             kernels.use_backend(previous)
 

@@ -46,9 +46,20 @@ class TestStrategyCorrectness:
     def test_dpp_and_filters_mutually_exclusive(self):
         config = KadopConfig(use_dpp=True, replication=1)
         net = KadopNetwork.create(num_peers=4, config=config, seed=1)
-        net.peers[0].publish("<a><b>t</b></a>", uri="u")
-        with pytest.raises(ConfigError):
-            net.query_with_report("//a//b", strategy="db")
+        net.peers[0].publish("<a><b>t</b><c/></a>", uri="u")
+        for strategy in ("db", "pushdown", "auto"):
+            with pytest.raises(ConfigError, match="use_dpp"):
+                net.query_with_report("//a[//c]//b", strategy=strategy)
+
+    @pytest.mark.parametrize(
+        "strategy", ["ab", "db", "bloom", "subquery", "auto", "pushdown"]
+    )
+    def test_dpp_with_any_filter_rejected_at_config(self, strategy):
+        # pushdown joins read term lists from the term owners, which hold
+        # none under the DPP: such a config used to answer 0 documents
+        # with complete=True on every multi-term query
+        with pytest.raises(ConfigError, match="use_dpp"):
+            KadopConfig(use_dpp=True, filter_strategy=strategy)
 
 
 class TestStrategyTraffic:
