@@ -121,6 +121,11 @@ def compile_xquery(text, keyword_steps=()):
         if var in variables:
             raise QueryParseError("variable %s bound twice" % var)
         anchor_var, rel = _var_and_path(path_text)
+        if anchor_var and rel is None:
+            raise QueryParseError(
+                "for-binding %s in %s needs a path step after the variable"
+                % (var, anchor_var)
+            )
         parsed = _parse_path_text(rel if anchor_var else path_text, keyword_steps)
         if anchor_var:
             anchor = variables.get(anchor_var)

@@ -65,6 +65,7 @@ class TestCompilation:
             "for $a in $b//x return $a",  # anchor unbound
             "for $a in //x where $a return $a",  # vacuous condition
             "for $a in //x, $b in //y return $a",  # two absolute roots
+            "for $x in //a,$y in $x,//b where $y/c return $x",  # bare var
         ],
     )
     def test_malformed_rejected(self, bad):
