@@ -215,8 +215,8 @@ class TestDuplicateAccounting:
         assert plan.stats.duplicates == 1
         # idempotent delivery: the second copy never lands in the store
         assert dup_list.items() == clean_list.items()
-        # ... and never double-bills the op's receipt (OpReceipt.merge with
-        # count_bytes=False), even though the wire carried it twice
+        # ... and never double-bills the op's receipt (DhtNetwork._settle
+        # meters the copy only), even though the wire carried it twice
         assert dup_receipt.request_bytes == clean_receipt.request_bytes
         assert dup_receipt.response_bytes == clean_receipt.response_bytes
 
